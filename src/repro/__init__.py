@@ -52,31 +52,11 @@ Guarantee variants chain onto any query: ``.top(5)`` (§6.1.2), ``.trends()``
 ``.guarantee(delta=..., resolution=...)`` (Problem 2), and
 ``.on_engine("memory" | "needletail" | "noindex")`` picks the substrate.
 
-Migration from the deprecated pre-Session entrypoints (all keep working
-throughout 1.x, each emits a :class:`DeprecationWarning`):
-
-=============================  =============================================
-Legacy entrypoint              Session API equivalent
-=============================  =============================================
-``run_ifocus(engine)``         ``session.table(t).group_by(X).agg(avg(Y)).run()``
-``run_ifocus_sum(engine)``     ``....agg(total(Y)).run()``
-``run_count_known(engine)``    ``....agg(count("*")).run()``
-``run_ifocus_multi_avg(...)``  ``....agg(avg(Y), avg(Z)).run()``
-``run_multi_groupby(...)``     ``....group_by(X, Z).agg(avg(Y)).run()``
-``run_ifocus_topt(engine, t)`` ``....agg(avg(Y)).top(t).run()``
-``run_ifocus_trends(engine)``  ``....agg(avg(Y)).trends().run()``
-``run_ifocus_values(...)``     ``....agg(avg(Y)).values(within=d).run()``
-``run_ifocus_mistakes(...)``   ``....agg(avg(Y)).mistakes(gamma).run()``
-``run_noindex(engine)``        ``....agg(avg(Y)).on_engine("noindex").run()``
-``run_ifocus_partial(...)``    ``for u in ....stream(): ...``
-``stream_partial_results(..)`` ``....stream()``
-``execute_query(sql, tables)`` ``session.sql(sql).run()``
-=============================  =============================================
-
-The algorithm layer (``run_irefine``, ``run_roundrobin``, ``run_scan``,
-``run_ifocus_reference``, ``run_algorithm``) stays public and undeprecated:
-it is what the Session planner itself dispatches to, reachable from the
-Session API via ``.using("irefine")`` etc.
+The algorithm layer (``run_ifocus``, ``run_irefine``, ``run_roundrobin``,
+``run_scan``, ``run_ifocus_reference``, ``run_algorithm``) is public too: it
+is what the Session planner itself dispatches to, reachable from the Session
+API via ``.using("irefine")`` etc.  The pre-Session entrypoints were removed
+in 0.6 (see the README's "Removed in 0.6" table).
 """
 
 from repro.core import (
@@ -130,7 +110,7 @@ from repro.session import (
 )
 from repro.streaming import ContinuousQuery, WindowResult, WindowSpec
 
-__version__ = "1.2.0"
+__version__ = "0.6.0"
 
 __all__ = [
     # Session API (primary surface)

@@ -143,14 +143,6 @@ class Catalog:
         #: results, no matter which catalog view triggered the drop.
         self._invalidation_listeners: list = []
 
-    @classmethod
-    def from_tables(cls, tables: Mapping[str, Table]) -> "Catalog":
-        """Wrap a legacy ``{name: Table}`` mapping (each table one source)."""
-        catalog = cls()
-        for name, table in tables.items():
-            catalog.register(name, table)
-        return catalog
-
     # -- registration --------------------------------------------------------
 
     def register(

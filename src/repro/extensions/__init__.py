@@ -1,42 +1,24 @@
-"""Section 6 extensions: weaker/stronger guarantees and other query shapes."""
+"""Section 6 extensions: weaker/stronger guarantees and other query shapes.
 
-from repro.extensions.counts import run_count_known, run_count_unknown
-from repro.extensions.mistakes import run_ifocus_mistakes
-from repro.extensions.multi import (
-    MultiAvgResult,
-    composite_group_column,
-    run_ifocus_multi_avg,
-    run_multi_groupby,
-)
-from repro.extensions.noindex import run_noindex
-from repro.extensions.partial import (
-    PartialUpdate,
-    run_ifocus_partial,
-    stream_partial_results,
-)
-from repro.extensions.sums import run_ifocus_sum, run_ifocus_sum_unknown
-from repro.extensions.topt import TopTResult, run_ifocus_topt
-from repro.extensions.trends import chain_neighbors, grid_neighbors, run_ifocus_trends
-from repro.extensions.values import run_ifocus_values
+Every variant is reached through the Session API (``.top(t)``,
+``.trends()``, ``.values(within=d)``, ``.mistakes(gamma)``, ``total(Y)``,
+``count("*")``, two AVGs, several GROUP BY columns, ``.stream()``,
+``.on_engine("noindex")``); the planner calls the ``_run_*`` functions in
+these modules.  What stays public here are the helpers with no Session form.
+"""
+
+from repro.extensions.counts import run_count_unknown
+from repro.extensions.multi import MultiAvgResult, composite_group_column
+from repro.extensions.sums import run_ifocus_sum_unknown
+from repro.extensions.topt import TopTResult
+from repro.extensions.trends import chain_neighbors, grid_neighbors
 
 __all__ = [
-    "run_count_known",
     "run_count_unknown",
-    "run_ifocus_mistakes",
     "MultiAvgResult",
     "composite_group_column",
-    "run_ifocus_multi_avg",
-    "run_multi_groupby",
-    "run_noindex",
-    "PartialUpdate",
-    "run_ifocus_partial",
-    "stream_partial_results",
-    "run_ifocus_sum",
     "run_ifocus_sum_unknown",
     "TopTResult",
-    "run_ifocus_topt",
     "chain_neighbors",
     "grid_neighbors",
-    "run_ifocus_trends",
-    "run_ifocus_values",
 ]

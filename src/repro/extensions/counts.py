@@ -1,7 +1,7 @@
 """COUNT aggregation (§6.3.2).
 
 With bitmap indexes the per-group row counts are index metadata, so COUNT is
-answered *exactly* with zero samples (:func:`run_count_known`).  Without that
+answered *exactly* with zero samples (``count("*")`` in the Session API).  Without that
 metadata (but with the total row count known), COUNT reduces to estimating
 the fractional sizes s_i in [0, 1]: each uniformly random tuple is a
 Bernoulli(s_i) indicator for group i, and the plain IFOCUS machinery applies
@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._compat import deprecated_entrypoint
-from repro.core.ifocus import _run_ifocus
+from repro.core.ifocus import run_ifocus
 from repro.core.types import GroupOutcome, OrderingResult
 from repro.data.distributions import TwoPoint
 from repro.data.population import Population, VirtualGroup
 from repro.engines.base import SamplingEngine
 from repro.engines.memory import InMemoryEngine
 
-__all__ = ["run_count_known", "run_count_unknown"]
+__all__ = ["run_count_unknown"]
 
 
 def _run_count_known(engine: SamplingEngine) -> OrderingResult:
@@ -51,13 +50,6 @@ def _run_count_known(engine: SamplingEngine) -> OrderingResult:
     )
 
 
-run_count_known = deprecated_entrypoint(
-    _run_count_known,
-    "run_count_known",
-    'session.table(...).group_by(X).agg(count("*")).run()',
-)
-
-
 def run_count_unknown(
     engine: SamplingEngine,
     *,
@@ -86,7 +78,7 @@ def run_count_unknown(
         name=f"{engine.population.name}-indicators",
     )
     indicator_engine = InMemoryEngine(indicator_pop, cost_model=engine.cost_model)
-    result = _run_ifocus(
+    result = run_ifocus(
         indicator_engine,
         delta=delta,
         resolution=resolution_fraction,

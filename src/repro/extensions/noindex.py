@@ -16,15 +16,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._compat import deprecated_entrypoint
 from repro._util import check_nonnegative, check_probability
 from repro.core.confidence import EpsilonSchedule
 from repro.core.intervals import separated_general
 from repro.core.types import GroupOutcome, OrderingResult
 from repro.engines.base import SamplingEngine
 from repro.resilience.deadline import Deadline
-
-__all__ = ["run_noindex"]
 
 
 def _run_noindex(
@@ -125,10 +122,3 @@ def _run_noindex(
         },
         stats=run.stats,
     )
-
-
-run_noindex = deprecated_entrypoint(
-    _run_noindex,
-    "run_noindex",
-    'session.table(...).group_by(X).agg(avg(Y)).on_engine("noindex").run()',
-)

@@ -2,7 +2,7 @@
 
 Two regimes:
 
-* **Known group sizes** (:func:`run_ifocus_sum`) - sum_i = mu_i * n_i, so the
+* **Known group sizes** (``total(Y)`` in the Session API) - sum_i = mu_i * n_i, so the
   IFOCUS machinery carries over with each group's estimate and interval
   scaled by its size (Algorithm 4).  Interval widths now differ across
   groups, so the active-set test is the general heterogeneous-width one.
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._compat import deprecated_entrypoint
 from repro._util import check_nonnegative, check_probability
 from repro.core.confidence import EpsilonSchedule
 from repro.core.intervals import separated_general
@@ -29,7 +28,7 @@ from repro.core.types import GroupOutcome, OrderingResult
 from repro.engines.base import SamplingEngine
 from repro.resilience.deadline import Deadline
 
-__all__ = ["run_ifocus_sum", "run_ifocus_sum_unknown"]
+__all__ = ["run_ifocus_sum_unknown"]
 
 
 def _finalize_result(
@@ -176,13 +175,6 @@ def _run_ifocus_sum(
             "deadline_exceeded": deadline_exceeded,
         },
     )
-
-
-run_ifocus_sum = deprecated_entrypoint(
-    _run_ifocus_sum,
-    "run_ifocus_sum",
-    "session.table(...).group_by(X).agg(total(Y)).run()",
-)
 
 
 def run_ifocus_sum_unknown(

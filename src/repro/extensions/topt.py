@@ -19,12 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro._compat import deprecated_entrypoint
 from repro.core.reference import LoopContext, default_policy, run_ifocus_reference
 from repro.core.types import OrderingResult
 from repro.engines.base import SamplingEngine
 
-__all__ = ["TopTResult", "run_ifocus_topt"]
+__all__ = ["TopTResult"]
 
 
 @dataclass
@@ -97,10 +96,3 @@ def _run_ifocus_topt(
         **kwargs,
     )
     return TopTResult(result=result, t=t, largest=largest)
-
-
-run_ifocus_topt = deprecated_entrypoint(
-    _run_ifocus_topt,
-    "run_ifocus_topt",
-    "session.table(...).group_by(X).agg(avg(Y)).top(t).run()",
-)

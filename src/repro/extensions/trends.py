@@ -17,12 +17,11 @@ from typing import Sequence
 
 import numpy as np
 
-from repro._compat import deprecated_entrypoint
 from repro.core.reference import LoopContext, run_ifocus_reference
 from repro.core.types import OrderingResult
 from repro.engines.base import SamplingEngine
 
-__all__ = ["run_ifocus_trends", "chain_neighbors", "grid_neighbors"]
+__all__ = ["chain_neighbors", "grid_neighbors"]
 
 
 def chain_neighbors(k: int) -> list[list[int]]:
@@ -110,10 +109,3 @@ def _run_ifocus_trends(
         algorithm_name="ifocus-trends",
         **kwargs,
     )
-
-
-run_ifocus_trends = deprecated_entrypoint(
-    _run_ifocus_trends,
-    "run_ifocus_trends",
-    "session.table(...).group_by(X).agg(avg(Y)).trends().run()",
-)

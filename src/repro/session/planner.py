@@ -3,7 +3,7 @@
 ``execute_spec`` turns a :class:`~repro.session.spec.QuerySpec` into algorithm
 runs over a registered execution substrate and returns the unified
 :class:`~repro.session.result.Result`; ``stream_spec`` is the incremental
-form.  Dispatch rules (superset of the legacy ``execute_query`` planner):
+form.  Dispatch rules:
 
 * ``AVG(Y)`` - the core algorithms (ifocus/ifocusr/irefine/...), specialized
   by the guarantee mode: top-t (§6.1.2), trends (§6.1.1), values (§6.2.1),
@@ -19,9 +19,9 @@ form.  Dispatch rules (superset of the legacy ``execute_query`` planner):
 * HAVING - post-filter on the *estimated* aggregate (surfaced as a caveat).
 
 Plans run against a :class:`~repro.catalog.Catalog` of named
-:class:`~repro.catalog.source.DataSource` objects (legacy ``{name: Table}``
-dicts are wrapped transparently): validation uses source *schemas* only, and
-tables/populations materialize lazily, cached by the catalog.
+:class:`~repro.catalog.source.DataSource` objects: validation uses source
+*schemas* only, and tables/populations materialize lazily, cached by the
+catalog.
 
 Execution substrates are pluggable through :func:`register_engine`; the
 built-ins are ``needletail`` (bitmap-index sampling), ``memory`` (the paper's
@@ -34,7 +34,7 @@ from __future__ import annotations
 import queue
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -395,13 +395,6 @@ def _prepare_table(spec: QuerySpec, table: Table) -> tuple[Table, str]:
     return augmented, "__group_key__"
 
 
-def _as_catalog(catalog: Catalog | Mapping[str, Table]) -> Catalog:
-    """Accept either a real Catalog or a legacy ``{name: Table}`` mapping."""
-    if isinstance(catalog, Catalog):
-        return catalog
-    return Catalog.from_tables(catalog)
-
-
 def _plan(spec: QuerySpec, catalog: Catalog) -> _PlanContext:
     """Validate the spec against the catalog schema; materialize nothing.
 
@@ -683,7 +676,7 @@ def _assemble_result(
 
 def execute_spec(
     spec: QuerySpec,
-    catalog: Catalog | Mapping[str, Table],
+    catalog: Catalog,
     *,
     seed=None,
     runner_kwargs: dict | None = None,
@@ -693,8 +686,7 @@ def execute_spec(
 
     Args:
         spec: the lowered query.
-        catalog: a :class:`~repro.catalog.Catalog` of named sources, or a
-            legacy ``{table name: Table}`` mapping (wrapped on the fly).
+        catalog: the :class:`~repro.catalog.Catalog` of named sources.
         seed: RNG seed for the sampling streams.
         runner_kwargs: extra knobs forwarded to the AVG runner
             (``trace_every``, ``max_rounds``, ``batch`` for noindex, ...).
@@ -706,7 +698,7 @@ def execute_spec(
     """
     if deadline is None and spec.deadline_ms is not None:
         deadline = Deadline.after_ms(spec.deadline_ms)
-    ctx = _plan(spec, _as_catalog(catalog))
+    ctx = _plan(spec, catalog)
     try:
         return _execute_planned(
             spec, ctx, seed, dict(runner_kwargs or {}), deadline=deadline
@@ -819,7 +811,7 @@ def _replay_updates(result: Result) -> list[PartialUpdate]:
 
 def stream_spec(
     spec: QuerySpec,
-    catalog: Catalog | Mapping[str, Table],
+    catalog: Catalog,
     *,
     seed=None,
     runner_kwargs: dict | None = None,
@@ -837,7 +829,7 @@ def stream_spec(
     """
     if deadline is None and spec.deadline_ms is not None:
         deadline = Deadline.after_ms(spec.deadline_ms)
-    ctx = _plan(spec, _as_catalog(catalog))
+    ctx = _plan(spec, catalog)
     kwargs = dict(runner_kwargs or {})
     if _live_streamable(spec, ctx):
         return _stream_live(spec, ctx, seed, kwargs, deadline)

@@ -30,10 +30,10 @@ class TestDuplicateHeader:
         with pytest.raises(ValueError, match="duplicate"):
             load_csv_table(path)
 
-    def test_duplicate_header_rejected_via_register_csv(self, tmp_path):
+    def test_duplicate_header_rejected_via_attach(self, tmp_path):
         path = write(tmp_path, "x,y,x\n1,2,3\n")
         with pytest.raises(ValueError, match="duplicate"):
-            connect().register_csv("t", path)
+            connect().attach("t", path)
 
 
 class TestQuoting:
@@ -54,7 +54,7 @@ class TestQuoting:
             tmp_path,
             'city,delay\n"New York, NY",10\n"New York, NY",14\n"LA",30\n"LA",34\n',
         )
-        session = connect(engine="memory").register_csv(
+        session = connect(engine="memory").attach(
             "trips", path, group_columns=["city"]
         )
         res = session.table("trips").group_by("city").agg("AVG(delay)").run(seed=0)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.engines.memory import InMemoryEngine
-from repro.extensions.counts import run_count_known, run_count_unknown
-from repro.extensions.sums import run_ifocus_sum, run_ifocus_sum_unknown
+from repro.extensions.counts import _run_count_known, run_count_unknown
+from repro.extensions.sums import _run_ifocus_sum, run_ifocus_sum_unknown
 from repro.viz.properties import check_ordering
 from tests.conftest import make_materialized_population
 
@@ -26,7 +26,7 @@ class TestSumKnownSizes:
     def test_orders_sums_not_averages(self):
         pop = sums_population()
         engine = InMemoryEngine(pop)
-        res = run_ifocus_sum(engine, delta=0.05, seed=1)
+        res = _run_ifocus_sum(engine, delta=0.05, seed=1)
         true_sums = pop.true_means() * pop.sizes()
         assert check_ordering(res.estimates, true_sums)
         # Sum order is the reverse of average order in this construction.
@@ -34,14 +34,14 @@ class TestSumKnownSizes:
 
     def test_estimates_near_true_sums(self):
         pop = sums_population(seed=2)
-        res = run_ifocus_sum(InMemoryEngine(pop), delta=0.05, seed=3)
+        res = _run_ifocus_sum(InMemoryEngine(pop), delta=0.05, seed=3)
         true_sums = pop.true_means() * pop.sizes()
         for est, true in zip(res.estimates, true_sums):
             assert est == pytest.approx(true, rel=0.25)
 
     def test_exhaustion_exact(self):
         pop = make_materialized_population([50.0, 50.1], sizes=80, spread=6.0, seed=4)
-        res = run_ifocus_sum(InMemoryEngine(pop), delta=0.05, seed=5)
+        res = _run_ifocus_sum(InMemoryEngine(pop), delta=0.05, seed=5)
         true_sums = pop.true_means() * pop.sizes()
         assert all(g.exhausted for g in res.groups)
         assert np.allclose(res.estimates, true_sums)
@@ -49,15 +49,15 @@ class TestSumKnownSizes:
     def test_resolution_stop(self):
         pop = sums_population(seed=6)
         spread_sum = float((pop.true_means() * pop.sizes()).max())
-        res = run_ifocus_sum(
+        res = _run_ifocus_sum(
             InMemoryEngine(pop), delta=0.05, resolution=spread_sum, seed=7
         )
-        plain = run_ifocus_sum(InMemoryEngine(pop), delta=0.05, seed=7)
+        plain = _run_ifocus_sum(InMemoryEngine(pop), delta=0.05, seed=7)
         assert res.total_samples <= plain.total_samples
 
     def test_invalid_delta(self):
         with pytest.raises(ValueError):
-            run_ifocus_sum(InMemoryEngine(sums_population()), delta=0.0)
+            _run_ifocus_sum(InMemoryEngine(sums_population()), delta=0.0)
 
 
 class TestSumUnknownSizes:
@@ -91,7 +91,7 @@ class TestSumUnknownSizes:
             [90.0, 50.0, 10.0], sizes=[30_000, 8_000, 1_000], spread=5.0, seed=12
         )
         engine = InMemoryEngine(pop)
-        known = run_ifocus_sum(engine, delta=0.05, seed=13)
+        known = _run_ifocus_sum(engine, delta=0.05, seed=13)
         unknown = run_ifocus_sum_unknown(engine, delta=0.05, seed=13, max_rounds=400_000)
         # Estimating sizes simultaneously costs extra (the paper's k^2 note).
         assert unknown.total_samples > known.total_samples
@@ -100,7 +100,7 @@ class TestSumUnknownSizes:
 class TestCounts:
     def test_known_is_exact_and_free(self):
         pop = sums_population()
-        res = run_count_known(InMemoryEngine(pop))
+        res = _run_count_known(InMemoryEngine(pop))
         assert np.array_equal(res.estimates, pop.sizes().astype(float))
         assert res.total_samples == 0
 

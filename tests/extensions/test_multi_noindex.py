@@ -7,12 +7,9 @@ import numpy as np
 import pytest
 
 from repro.engines.memory import InMemoryEngine
-from repro.extensions.multi import (
-    composite_group_column,
-    run_ifocus_multi_avg,
-    run_multi_groupby,
-)
-from repro.extensions.noindex import run_noindex
+from repro.extensions.multi import composite_group_column
+from repro.extensions.noindex import _run_noindex
+from repro.session import avg, connect
 from repro.needletail.table import Table
 from repro.viz.properties import check_ordering
 from tests.conftest import make_materialized_population
@@ -41,50 +38,61 @@ class TestCompositeGroupBy:
         with pytest.raises(ValueError):
             composite_group_column(two_dim_table(10), [])
 
-    def test_run_multi_groupby_orders_cross_product(self):
+    def test_group_by_two_columns_orders_cross_product(self):
         t = two_dim_table()
-        result, engine = run_multi_groupby(
-            t, ["carrier", "year"], "delay", delta=0.05, seed=1
+        result = (
+            connect(delta=0.05).register("t", t).table("t")
+            .group_by("carrier", "year").agg(avg("delay")).run(seed=1)
         )
-        true = engine.population.true_means()
-        assert check_ordering(result.estimates, true)
-        assert len(engine.population.group_names) == 4
+        true = result.engine.population.true_means()
+        assert check_ordering(result.first.raw.estimates, true)
+        assert len(result.engine.population.group_names) == 4
+
+
+def run_two_avgs(t: Table, seed: int):
+    """SELECT carrier, AVG(delay), AVG(dist): (delay result, dist result, query)."""
+    result = (
+        connect(delta=0.05).register("t", t).table("t")
+        .group_by("carrier").agg(avg("delay"), avg("dist")).run(seed=seed)
+    )
+    return result["AVG(delay)"].raw, result["AVG(dist)"].raw, result
 
 
 class TestMultiAvg:
     def test_both_orderings_correct(self):
         t = two_dim_table(seed=2)
-        res = run_ifocus_multi_avg(t, "carrier", "delay", "dist", delta=0.05, seed=3)
+        y, z, _ = run_two_avgs(t, seed=3)
         delay_true = [
             t.column("delay")[t.column("carrier") == c].mean() for c in ("AA", "DL")
         ]
         dist_true = [
             t.column("dist")[t.column("carrier") == c].mean() for c in ("AA", "DL")
         ]
-        assert check_ordering(res.y.estimates, np.array(delay_true))
-        assert check_ordering(res.z.estimates, np.array(dist_true))
+        assert check_ordering(y.estimates, np.array(delay_true))
+        assert check_ordering(z.estimates, np.array(dist_true))
 
     def test_shared_samples(self):
         t = two_dim_table(seed=4)
-        res = run_ifocus_multi_avg(t, "carrier", "delay", "dist", delta=0.05, seed=5)
+        y, z, res = run_two_avgs(t, seed=5)
         # Both aggregates report the same per-group sample counts (each
         # sampled row contributes to both).
-        assert np.array_equal(res.y.samples_per_group, res.z.samples_per_group)
-        assert res.total_samples == res.y.samples_per_group.sum()
+        assert np.array_equal(y.samples_per_group, z.samples_per_group)
+        assert res.total_samples == y.samples_per_group.sum()
 
     def test_estimates_close(self):
         t = two_dim_table(seed=6)
-        res = run_ifocus_multi_avg(t, "carrier", "delay", "dist", delta=0.05, seed=7)
-        for gid, carrier in enumerate(sorted(set(t.column("carrier")))):
+        y, _, res = run_two_avgs(t, seed=7)
+        assert res.labels == sorted(set(t.column("carrier")))
+        for gid, carrier in enumerate(res.labels):
             true_d = t.column("delay")[t.column("carrier") == carrier].mean()
-            assert res.y.estimates[gid] == pytest.approx(true_d, abs=5.0)
+            assert y.estimates[gid] == pytest.approx(true_d, abs=5.0)
 
 
 class TestNoIndex:
     def test_orders_correctly(self):
         pop = make_materialized_population([20.0, 50.0, 80.0], sizes=30_000, seed=8)
         engine = InMemoryEngine(pop)
-        res = run_noindex(engine, delta=0.05, seed=9)
+        res = _run_noindex(engine, delta=0.05, seed=9)
         assert check_ordering(res.estimates, pop.true_means())
         assert res.algorithm == "noindex"
 
@@ -93,14 +101,14 @@ class TestNoIndex:
             [20.0, 80.0], sizes=[40_000, 10_000], spread=5.0, seed=10
         )
         engine = InMemoryEngine(pop)
-        res = run_noindex(engine, delta=0.05, seed=11)
+        res = _run_noindex(engine, delta=0.05, seed=11)
         ratio = res.samples_per_group[0] / res.samples_per_group[1]
         assert 2.5 < ratio < 6.0  # ~4x expected from the 4:1 size skew
 
     def test_max_samples_truncates(self):
         pop = make_materialized_population([50.0, 50.05], sizes=10_000, seed=12)
         engine = InMemoryEngine(pop)
-        res = run_noindex(engine, delta=0.05, seed=13, max_samples=5_000)
+        res = _run_noindex(engine, delta=0.05, seed=13, max_samples=5_000)
         assert res.params["truncated"]
         assert res.total_samples <= 5_000 + 256
 
@@ -109,7 +117,7 @@ class TestNoIndex:
         # with replacement); the r=4 relaxation stops at eps < 1 (~50k).
         pop = make_materialized_population([50.0, 50.2, 90.0], sizes=50_000, seed=14)
         engine = InMemoryEngine(pop)
-        relaxed = run_noindex(engine, delta=0.05, resolution=4.0, seed=15)
+        relaxed = _run_noindex(engine, delta=0.05, resolution=4.0, seed=15)
         assert not relaxed.params["truncated"]
         assert relaxed.total_samples < 400_000
 
@@ -122,9 +130,9 @@ class TestNoIndex:
         )
         engine = InMemoryEngine(pop)
         indexed = run_ifocus(engine, delta=0.05, seed=17)
-        blind = run_noindex(engine, delta=0.05, seed=17)
+        blind = _run_noindex(engine, delta=0.05, seed=17)
         assert blind.total_samples > indexed.total_samples
 
     def test_validation(self, small_engine):
         with pytest.raises(ValueError):
-            run_noindex(small_engine, batch=0)
+            _run_noindex(small_engine, batch=0)

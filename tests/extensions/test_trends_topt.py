@@ -7,8 +7,8 @@ import pytest
 
 from repro.core.reference import run_ifocus_reference
 from repro.engines.memory import InMemoryEngine
-from repro.extensions.topt import run_ifocus_topt
-from repro.extensions.trends import chain_neighbors, grid_neighbors, run_ifocus_trends
+from repro.extensions.topt import _run_ifocus_topt
+from repro.extensions.trends import chain_neighbors, grid_neighbors, _run_ifocus_trends
 from repro.viz.properties import check_neighbor_ordering, check_top_t
 from tests.conftest import make_materialized_population
 
@@ -34,7 +34,7 @@ class TestTrends:
             [30.0, 50.0, 20.0, 60.0, 40.0], sizes=20_000, seed=1
         )
         engine = InMemoryEngine(pop)
-        res = run_ifocus_trends(engine, delta=0.05, seed=2)
+        res = _run_ifocus_trends(engine, delta=0.05, seed=2)
         assert check_neighbor_ordering(res.estimates, pop.true_means())
         assert res.algorithm == "ifocus-trends"
 
@@ -45,7 +45,7 @@ class TestTrends:
             [30.0, 60.0, 30.05, 70.0], sizes=20_000, seed=3
         )
         engine = InMemoryEngine(pop)
-        trends = run_ifocus_trends(engine, delta=0.05, seed=4)
+        trends = _run_ifocus_trends(engine, delta=0.05, seed=4)
         full = run_ifocus_reference(engine, delta=0.05, seed=4)
         assert trends.total_samples < full.total_samples
 
@@ -53,18 +53,18 @@ class TestTrends:
         pop = make_materialized_population([10.0, 20.0], sizes=100)
         engine = InMemoryEngine(pop)
         with pytest.raises(ValueError):
-            run_ifocus_trends(engine, neighbors=[[1]])  # wrong length
+            _run_ifocus_trends(engine, neighbors=[[1]])  # wrong length
         with pytest.raises(ValueError):
-            run_ifocus_trends(engine, neighbors=[[1], []])  # asymmetric
+            _run_ifocus_trends(engine, neighbors=[[1], []])  # asymmetric
         with pytest.raises(ValueError):
-            run_ifocus_trends(engine, neighbors=[[5], [0]])  # out of range
+            _run_ifocus_trends(engine, neighbors=[[5], [0]])  # out of range
 
     def test_grid_choropleth(self):
         pop = make_materialized_population(
             [10.0, 40.0, 70.0, 25.0, 55.0, 85.0], sizes=10_000, seed=5
         )
         engine = InMemoryEngine(pop)
-        res = run_ifocus_trends(
+        res = _run_ifocus_trends(
             engine, delta=0.05, seed=6, neighbors=grid_neighbors(2, 3)
         )
         true = pop.true_means()
@@ -80,14 +80,14 @@ class TestTopT:
             [10.0, 80.0, 30.0, 90.0, 50.0, 70.0], sizes=20_000, seed=7
         )
         engine = InMemoryEngine(pop)
-        top = run_ifocus_topt(engine, t=3, delta=0.05, seed=8)
+        top = _run_ifocus_topt(engine, t=3, delta=0.05, seed=8)
         assert check_top_t(top.result.estimates, pop.true_means(), t=3)
         assert top.top_names == ["g3", "g1", "g5"]
 
     def test_smallest_mode(self):
         pop = make_materialized_population([10.0, 80.0, 30.0, 90.0], sizes=20_000, seed=9)
         engine = InMemoryEngine(pop)
-        top = run_ifocus_topt(engine, t=2, delta=0.05, largest=False, seed=10)
+        top = _run_ifocus_topt(engine, t=2, delta=0.05, largest=False, seed=10)
         assert top.top_names == ["g0", "g2"]
 
     def test_cheaper_than_full_with_contentious_losers(self):
@@ -96,12 +96,12 @@ class TestTopT:
             [20.0, 20.2, 60.0, 90.0], sizes=30_000, seed=11
         )
         engine = InMemoryEngine(pop)
-        top = run_ifocus_topt(engine, t=2, delta=0.05, seed=12)
+        top = _run_ifocus_topt(engine, t=2, delta=0.05, seed=12)
         full = run_ifocus_reference(engine, delta=0.05, seed=12)
         assert top.result.total_samples < full.total_samples
 
     def test_t_validation(self, small_engine):
         with pytest.raises(ValueError):
-            run_ifocus_topt(small_engine, t=0)
+            _run_ifocus_topt(small_engine, t=0)
         with pytest.raises(ValueError):
-            run_ifocus_topt(small_engine, t=99)
+            _run_ifocus_topt(small_engine, t=99)

@@ -25,7 +25,7 @@ import time
 
 import pytest
 
-from repro import connect
+from repro import SourceSpec, connect
 from repro.engines.shm import REGISTRY
 from repro.serve import (
     QueryService,
@@ -93,8 +93,11 @@ def tenant_counters(port, tenant):
 @pytest.fixture(scope="module")
 def server():
     session = connect(delta=0.1, seed=0)
-    session.register_flights("flights", rows=20_000, seed=0)
-    session.register_synthetic("slow", "hard", k=4, gamma=0.01, group_size=5_000_000)
+    session.attach("flights", SourceSpec("flights", rows=20_000, seed=0))
+    session.attach(
+        "slow",
+        SourceSpec("synthetic", family="hard", k=4, gamma=0.01, group_size=5_000_000),
+    )
     tenants = TenantRegistry(TenantConfig(max_concurrent=4, queue_limit=16))
     tenants.configure("tiny", TenantConfig(max_concurrent=1, queue_limit=0))
     tenants.configure("narrow", TenantConfig(max_concurrent=1, queue_limit=2))
@@ -454,7 +457,7 @@ class TestCacheCoherence:
 
         write_rows(10.0)
         session = connect(delta=0.1, seed=0)
-        session.register_csv("metrics", csv, group_columns=("g",), value_columns=("v",))
+        session.attach("metrics", csv, group_columns=("g",), value_columns=("v",))
         service = QueryService(session, sessions=1, default_seed=0)
         handle = serve_in_thread(service)
         try:
@@ -482,7 +485,7 @@ class TestCacheCoherence:
 
             # rebinding the name is the other coherence door
             write_rows(5000.0)
-            session.register_csv(
+            session.attach(
                 "metrics", csv, group_columns=("g",), value_columns=("v",)
             )
             status, env3, _ = request(handle.port, "POST", "/query", body)
@@ -496,7 +499,7 @@ class TestCacheCoherence:
 class TestShutdown:
     def test_shutdown_leaves_shm_registry_empty(self):
         session = connect(delta=0.1, seed=0)
-        session.register_flights("flights", rows=15_000, seed=0)
+        session.attach("flights", SourceSpec("flights", rows=15_000, seed=0))
         service = QueryService(session, sessions=2, default_seed=0)
         handle = serve_in_thread(service)
         try:

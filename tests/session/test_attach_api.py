@@ -1,8 +1,8 @@
-"""The attach() front door and the five deprecated register_* shims.
+"""The attach() front door on a Session: chaining, options, and errors.
 
-Each legacy door must (a) emit a DeprecationWarning naming its attach()
-replacement and (b) leave the session in a state identical to the attach()
-equivalent - same source kind, same schema, same query results.
+Every form attach() accepts - a path, a SourceSpec, a ready DataSource - must
+leave the session exactly as attaching the explicitly built source would:
+same source kind, same schema, same query results.
 """
 
 from __future__ import annotations
@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 import repro
+from repro.catalog import SourceSpec
 from repro.catalog.csv import CSVSource
 from repro.catalog.source import TableSource
 from repro.catalog.synthetic import SyntheticSource
-from repro.catalog import SourceSpec
+from repro.data.flights import make_flights_table
 from repro.session import connect
 
 
@@ -30,6 +31,10 @@ def csv_path(tmp_path):
     return path
 
 
+def _source(session, name):
+    return session.catalog.source(name)
+
+
 def _result_sig(session, table="t", group="g", value="v"):
     result = (
         session.table(table).group_by(group).agg(repro.avg(value)).run(seed=5)
@@ -41,83 +46,59 @@ def _result_sig(session, table="t", group="g", value="v"):
     )
 
 
-def _source(session, name):
-    return session.catalog.source(name)
-
-
-class TestShimsWarnAndMatchAttach:
-    def test_register_source(self, csv_path):
+class TestAttachMatchesExplicitSources:
+    def test_attach_keeps_a_ready_source(self, csv_path):
         source = CSVSource(csv_path, group_columns=("g",), value_columns=("v",))
-        via_attach = connect(seed=1).attach("t", source)
-        legacy = connect(seed=1)
-        with pytest.warns(DeprecationWarning, match="session.attach"):
-            legacy.register_source("t", source)
-        assert _source(legacy, "t") is source is _source(via_attach, "t")
-        assert _result_sig(legacy) == _result_sig(via_attach)
-
-    def test_register_source_rejects_non_sources(self):
-        session = connect()
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="needs a DataSource"):
-                session.register_source("t", {"g": np.array(["a"])})
-
-    def test_register_csv(self, csv_path):
-        via_attach = connect(seed=1).attach(
+        session = connect(seed=1).attach("t", source)
+        assert _source(session, "t") is source
+        via_path = connect(seed=1).attach(
             "t", csv_path, group_columns=("g",), value_columns=("v",)
         )
-        legacy = connect(seed=1)
-        with pytest.warns(DeprecationWarning, match="register_csv"):
-            legacy.register_csv(
-                "t", csv_path, group_columns=("g",), value_columns=("v",)
-            )
-        for session in (legacy, via_attach):
-            assert isinstance(_source(session, "t"), CSVSource)
-        assert _result_sig(legacy) == _result_sig(via_attach)
+        assert _result_sig(session) == _result_sig(via_path)
 
-    def test_register_parquet(self, tmp_path):
-        pytest.importorskip("pyarrow")
-        from repro.catalog.parquet import ParquetSource
+    def test_csv_path_builds_a_csv_source(self, csv_path):
+        via_path = connect(seed=1).attach(
+            "t", csv_path, group_columns=("g",), value_columns=("v",)
+        )
+        explicit = connect(seed=1).attach(
+            "t", CSVSource(csv_path, group_columns=("g",), value_columns=("v",))
+        )
+        assert isinstance(_source(via_path, "t"), CSVSource)
+        schemas = [list(_source(s, "t").schema()) for s in (via_path, explicit)]
+        assert schemas[0] == schemas[1]
+        assert _result_sig(via_path) == _result_sig(explicit)
 
-        path = tmp_path / "t.parquet"
-        legacy = connect()
-        with pytest.warns(DeprecationWarning, match="register_parquet"):
-            legacy.register_parquet("t", path, batch_rows=64)
-        source = _source(legacy, "t")
-        assert isinstance(source, ParquetSource)
-        assert source._batch_rows == 64
+    def test_csv_spec_matches_csv_path(self, csv_path):
+        via_spec = connect(seed=1).attach(
+            "t", SourceSpec("csv", path=csv_path, group_columns=("g",))
+        )
+        via_path = connect(seed=1).attach("t", csv_path, group_columns=("g",))
+        assert isinstance(_source(via_spec, "t"), CSVSource)
+        assert _result_sig(via_spec) == _result_sig(via_path)
 
-    def test_register_flights(self):
-        via_attach = connect(seed=1).attach(
+    def test_flights_spec_matches_the_generated_table(self):
+        via_spec = connect(seed=1).attach(
             "flights", SourceSpec("flights", rows=2_000, seed=3)
         )
-        legacy = connect(seed=1)
-        with pytest.warns(DeprecationWarning, match="register_flights"):
-            legacy.register_flights(rows=2_000, seed=3)
+        via_table = connect(seed=1).attach(
+            "flights", make_flights_table(num_rows=2_000, seed=3)
+        )
         sig = lambda s: _result_sig(
             s, table="flights", group="carrier", value="arrival_delay"
         )
-        assert sig(legacy) == sig(via_attach)
+        assert sig(via_spec) == sig(via_table)
 
-    def test_register_synthetic(self):
-        spec = dict(family="mixture", k=3, total_size=2_000, seed=4,
-                    materialize=True)
-        via_attach = connect(seed=1).attach("bench", SourceSpec("synthetic", **spec))
-        legacy = connect(seed=1)
-        with pytest.warns(DeprecationWarning, match="register_synthetic"):
-            legacy.register_synthetic("bench", **spec)
-        for session in (legacy, via_attach):
-            assert isinstance(_source(session, "bench"), SyntheticSource)
+    def test_synthetic_spec_builds_a_synthetic_source(self):
+        params = dict(k=3, total_size=2_000, seed=4, materialize=True)
+        via_spec = connect(seed=1).attach(
+            "bench", SourceSpec("synthetic", family="mixture", **params)
+        )
+        explicit = connect(seed=1).attach(
+            "bench", SyntheticSource("mixture", **params)
+        )
+        assert isinstance(_source(via_spec, "bench"), SyntheticSource)
         sig = lambda s: _result_sig(s, table="bench", group="g", value="value")
-        assert sig(legacy) == sig(via_attach)
-
-    def test_every_shim_names_its_replacement(self):
-        from repro.session.session import Session
-
-        for name in ("register_source", "register_csv", "register_parquet",
-                     "register_flights", "register_synthetic"):
-            shim = getattr(Session, name)
-            assert "attach" in shim.__deprecated__
-            assert shim.__name__ == f"Session.{name}"
+        assert sig(via_spec) == sig(explicit)
 
 
 class TestAttachFrontDoor:
@@ -127,6 +108,15 @@ class TestAttachFrontDoor:
         )
         assert set(session.tables) == {"t", "mem"}
         assert isinstance(_source(session, "mem"), TableSource)
+
+    def test_parquet_path_passes_options_to_the_source(self, tmp_path):
+        pytest.importorskip("pyarrow")
+        from repro.catalog.parquet import ParquetSource
+
+        session = connect().attach("t", tmp_path / "t.parquet", batch_rows=64)
+        source = _source(session, "t")
+        assert isinstance(source, ParquetSource)
+        assert source._batch_rows == 64
 
     def test_register_still_takes_tables_not_paths(self, csv_path):
         with pytest.raises(TypeError, match="use attach"):

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.catalog import SourceSpec
 from repro.needletail.table import Table
 from repro.session import (
     Session,
@@ -47,8 +48,8 @@ class TestCatalog:
         with pytest.raises(KeyError):
             session.table("nope")
 
-    def test_register_flights(self):
-        sess = connect().register_flights("flights", rows=5_000, seed=0)
+    def test_attach_flights_spec(self):
+        sess = connect().attach("flights", SourceSpec("flights", rows=5_000, seed=0))
         res = sess.sql(
             "SELECT carrier, COUNT(*) FROM flights GROUP BY carrier"
         ).run()
@@ -99,7 +100,7 @@ class TestCsv:
             tmp_path,
             "city,delay\nNYC,10\nNYC,12\nLA,30\nLA,28\nSF,55\nSF,54\n",
         )
-        sess = connect().register_csv("trips", path, group_columns=["city"])
+        sess = connect().attach("trips", path, group_columns=["city"])
         res = sess.sql("SELECT city, AVG(delay) FROM trips GROUP BY city").run(seed=1)
         est = res.estimates()
         assert est["NYC"] < est["LA"] < est["SF"]

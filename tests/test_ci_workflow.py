@@ -53,6 +53,7 @@ def test_workflow_parses_and_has_jobs(workflow):
         "serve-smoke",
         "storage",
         "streaming",
+        "perfbench",
     }
     # "on" parses as the YAML boolean True when unquoted - accept either key.
     triggers = workflow.get("on", workflow.get(True))
@@ -210,3 +211,12 @@ def test_chaos_job_runs_the_resilience_suite_with_a_seed(workflow):
         line = step.get("run", "").strip()
         if line and "tests/resilience" in line:
             assert line.startswith("scripts/ci.sh")
+
+
+def test_perfbench_job_runs_the_benchmark_suite(workflow):
+    """The benchmark leg runs perfbench/tests through the repo CI gate, so a
+    rename that breaks perfbench/tracing.py TARGETS, or a broken benchmark
+    workload, fails in CI and not only in the benchmark pipeline."""
+    job = workflow["jobs"]["perfbench"]
+    commands = [step["run"].strip() for step in job["steps"] if "run" in step]
+    assert "scripts/ci.sh perfbench/tests" in commands
