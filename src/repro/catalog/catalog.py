@@ -240,15 +240,6 @@ class Catalog:
             raise KeyError(f"unknown table {name!r}; catalog has {self.names}")
         return self._sources[name]
 
-    def __getitem__(self, name: str) -> DataSource:
-        """Subscript access (``catalog["flights"]``) resolves the source.
-
-        Kept mapping-like because ``Session.catalog`` used to be a plain
-        ``{name: Table}`` dict; code that subscripted it keeps working and
-        gets the richer :class:`DataSource` back.
-        """
-        return self.source(name)
-
     def schema(self, name: str) -> Schema:
         """The named source's schema (no data materialized)."""
         return self.source(name).schema()

@@ -28,6 +28,7 @@ __all__ = [
     "separated_equal_width_batch",
     "first_event_row",
     "first_resolution_row",
+    "covers_obstacle",
     "pairwise_overlap_matrix",
 ]
 
@@ -189,6 +190,24 @@ def first_resolution_row(
         return None
     hits = np.flatnonzero(eps[start:] < resolution / 4.0)
     return int(hits[0]) + start if hits.size else None
+
+
+def covers_obstacle(
+    centers: np.ndarray, halfwidths: np.ndarray, obstacles: np.ndarray
+) -> np.ndarray:
+    """Boolean mask: which intervals [c_i - w_i, c_i + w_i] contain an obstacle.
+
+    Obstacles are the frozen exact values of exhausted groups - zero-width
+    intervals.  A group whose interval still covers one may not leave the
+    active set, or it could be ordered on the wrong side of a fully-read
+    group.  Shared by the per-group loops; the batched executors apply the
+    same rule through :func:`first_event_row`'s ``obstacles``.  O(k x
+    #obstacles), which at per-round sizes beats a sort + searchsorted.
+    """
+    if obstacles.size == 0:
+        return np.zeros(centers.shape, dtype=bool)
+    dist = np.abs(centers[:, None] - obstacles[None, :])
+    return (dist <= halfwidths[:, None]).any(axis=1)
 
 
 def _obstacle_clearance(values: np.ndarray, sorted_obstacles: np.ndarray) -> np.ndarray:

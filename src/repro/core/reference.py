@@ -20,6 +20,11 @@ Unlike the batched executor, this loop maintains *per-group* round counts and
 half-widths, which is what reactivation and the extension policies need; in
 the default configuration every active group has the same count, so the two
 implementations coincide.
+
+Its users: the live stream (``.stream()``, Problem 7), the four guarantee
+variants (top-t, trends, values, mistakes), IFOCUS-Sum with known and with
+unknown group sizes (Algorithms 4 and 5, through the ``scale`` keyword in
+:mod:`repro.extensions.sums`), and the ablation experiment.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import numpy as np
 
 from repro._util import check_nonnegative, check_probability
 from repro.core.confidence import EpsilonSchedule
-from repro.core.intervals import separated_general
+from repro.core.intervals import covers_obstacle, separated_general
 from repro.core.types import GroupOutcome, OrderingResult, RoundSnapshot, Trace
 from repro.engines.base import SamplingEngine
 from repro.resilience.deadline import Deadline
@@ -113,6 +118,7 @@ def run_ifocus_reference(
     on_finalize: Callable[[int, GroupOutcome], None] | None = None,
     algorithm_name: str | None = None,
     deadline: Deadline | None = None,
+    scale: np.ndarray | float | None = None,
 ) -> OrderingResult:
     """Run the reference IFOCUS loop.
 
@@ -136,6 +142,12 @@ def run_ifocus_reference(
         deadline: optional time budget / cancel token, polled once per
             round; on expiry remaining groups are finalized at their
             current estimates and ``params["deadline_exceeded"]`` is set.
+        scale: per-group factor (scalar or length-k array) applied to every
+            estimate, half-width and exhausted group's exact mean, so the
+            separation test, the resolution stop and the exhausted-group
+            obstacle rule run on the scaled aggregate.  IFOCUS-Sum passes
+            the group sizes - Algorithm 4 line 7, eps_i = n_i * eps_m.
+            ``None`` (AVG) leaves every value bit-identical to no scaling.
     """
     check_probability(delta, "delta")
     check_nonnegative(resolution, "resolution")
@@ -144,6 +156,7 @@ def run_ifocus_reference(
     run = engine.open_run(seed, without_replacement=without_replacement)
     k = run.k
     sizes = run.sizes()
+    scale = np.broadcast_to(np.asarray(1.0 if scale is None else scale, dtype=np.float64), (k,))
     schedule = EpsilonSchedule(k, delta, c=run.c, kappa=kappa, heuristic_factor=heuristic_factor)
 
     sums = np.zeros(k, dtype=np.float64)
@@ -183,7 +196,7 @@ def run_ifocus_reference(
         exhausted[gid] = is_exhausted
         inactive_order.append(gid)
         if is_exhausted:
-            estimates[gid] = run.exact_mean(gid)
+            estimates[gid] = scale[gid] * run.exact_mean(gid)
         if on_finalize is not None:
             on_finalize(
                 gid,
@@ -202,12 +215,12 @@ def run_ifocus_reference(
     for gid in range(k):
         value = float(run.draw(gid, 1)[0])
         sums[gid] = value
-        estimates[gid] = value
+        estimates[gid] = scale[gid] * value
         counts[gid] = 1
         run.charge(gid, 1)
     m = 1
     n_max = current_n_max()
-    half_widths[:] = float(schedule(1.0, n_max))
+    half_widths[:] = scale * float(schedule(1.0, n_max))
     if trace is not None:
         trace.append(
             RoundSnapshot(
@@ -246,8 +259,8 @@ def run_ifocus_reference(
             value = float(run.draw(int(gid), 1)[0])
             sums[gid] += value
             counts[gid] += 1
-            estimates[gid] = sums[gid] / counts[gid]
-            half_widths[gid] = float(schedule(float(counts[gid]), n_max))
+            estimates[gid] = scale[gid] * sums[gid] / counts[gid]
+            half_widths[gid] = scale[gid] * float(schedule(float(counts[gid]), n_max))
             run.charge(int(gid), 1)
 
         if reactivation:
@@ -277,12 +290,13 @@ def run_ifocus_reference(
         # Exhausted groups are zero-width obstacles: a group may not leave
         # while its interval still covers a frozen exact mean (mirrors the
         # batched executor; keeps ordering sound vs fully-read groups).
-        frozen = estimates[exhausted]
-        if frozen.size:
-            for gid in np.flatnonzero(may_leave):
-                if np.any(np.abs(estimates[gid] - frozen) <= half_widths[gid]):
-                    may_leave[gid] = False
-        for gid in np.flatnonzero(may_leave):
+        leaving = np.flatnonzero(may_leave)
+        if leaving.size:
+            blocked = covers_obstacle(
+                estimates[leaving], half_widths[leaving], estimates[exhausted]
+            )
+            leaving = leaving[~blocked]
+        for gid in leaving:
             finalize(int(gid), float(half_widths[gid]), m, False)
 
         _trace_round(trace, m, counts, active, estimates, half_widths)

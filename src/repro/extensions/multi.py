@@ -9,7 +9,9 @@
   while *also* accumulating Z from every sampled row; phase 2 re-activates
   all groups and continues sampling until the AVG(Z) intervals separate,
   starting from the phase-1 counts - which is why the second phase is
-  usually much cheaper than a fresh run.
+  usually much cheaper than a fresh run.  In both phases an exhausted
+  group's exact mean is a zero-width obstacle, as in IFOCUS: no group
+  finalizes while its interval still covers one.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from repro._util import check_probability, spawn_group_rngs
 from repro.core.confidence import EpsilonSchedule
-from repro.core.intervals import separated_general
+from repro.core.intervals import covers_obstacle, separated_general
 from repro.core.types import GroupOutcome, OrderingResult
 from repro.needletail.index import BitmapIndex
 from repro.needletail.table import Table
@@ -137,6 +139,7 @@ def _run_ifocus_multi_avg(
             )
             est = target_sums / np.maximum(counts, 1)
             sep = separated_general(est[idx], half_widths[idx])
+            sep &= ~covers_obstacle(est[idx], half_widths[idx], est[exhausted])
             for pos, gid in enumerate(idx):
                 if sep[pos]:
                     active[gid] = False

@@ -1,11 +1,14 @@
 """SUM aggregation (Algorithms 4 and 5, §6.3.1).
 
-Two regimes:
+Both regimes are plain IFOCUS on the one per-group policy loop,
+:func:`repro.core.reference.run_ifocus_reference`, through its ``scale``
+keyword:
 
-* **Known group sizes** (``total(Y)`` in the Session API) - sum_i = mu_i * n_i, so the
-  IFOCUS machinery carries over with each group's estimate and interval
-  scaled by its size (Algorithm 4).  Interval widths now differ across
-  groups, so the active-set test is the general heterogeneous-width one.
+* **Known group sizes** (``total(Y)`` in the Session API) - sum_i = mu_i * n_i,
+  so each group's estimate and interval are scaled by its size (Algorithm 4
+  line 7: eps_i = n_i * eps_m).  The loop's separation test, resolution stop
+  and exhausted-group obstacle rule all run on the sum scale, so a fully-read
+  group's exact sum blocks any group whose interval still covers it.
 * **Unknown group sizes** (:func:`run_ifocus_sum_unknown`) - the algorithm
   simultaneously estimates each group's fractional size s_i and mean via the
   unbiased product estimator x*z of the *normalized sum* s_i * mu_i
@@ -14,59 +17,19 @@ Two regimes:
   simulate the same unbiased draw as a group-membership indicator of a
   uniformly random tuple (E[z] = s_i), which preserves unbiasedness and the
   [0, c] range of x*z, hence the identical confidence-interval computation
-  the paper highlights.
+  the paper highlights.  A small engine adapter hands the loop x*z draws.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro._util import check_nonnegative, check_probability
-from repro.core.confidence import EpsilonSchedule
-from repro.core.intervals import separated_general
-from repro.core.types import GroupOutcome, OrderingResult
+from repro.core.reference import run_ifocus_reference
+from repro.core.types import OrderingResult
 from repro.engines.base import SamplingEngine
 from repro.resilience.deadline import Deadline
 
 __all__ = ["run_ifocus_sum_unknown"]
-
-
-def _finalize_result(
-    algorithm: str,
-    run,
-    estimates: np.ndarray,
-    counts: np.ndarray,
-    half_widths: np.ndarray,
-    finalized_round: np.ndarray,
-    exhausted: np.ndarray,
-    inactive_order: list[int],
-    m: int,
-    params: dict,
-) -> OrderingResult:
-    names = run.group_names()
-    groups = [
-        GroupOutcome(
-            index=i,
-            name=names[i],
-            estimate=float(estimates[i]),
-            samples=int(counts[i]),
-            half_width=float(half_widths[i]),
-            exhausted=bool(exhausted[i]),
-            finalized_round=int(finalized_round[i]),
-        )
-        for i in range(len(names))
-    ]
-    return OrderingResult(
-        algorithm=algorithm,
-        estimates=estimates.copy(),
-        samples_per_group=counts.copy(),
-        rounds=m,
-        groups=groups,
-        inactive_order=inactive_order,
-        trace=None,
-        params=params,
-        stats=run.stats,
-    )
 
 
 def _run_ifocus_sum(
@@ -85,96 +48,57 @@ def _run_ifocus_sum(
     correctly with probability >= 1 - delta.  ``resolution`` is interpreted
     on the sum scale.
     """
-    check_probability(delta, "delta")
-    check_nonnegative(resolution, "resolution")
-    run = engine.open_run(seed, without_replacement=without_replacement)
-    k = run.k
-    sizes = run.sizes().astype(np.float64)
-    schedule = EpsilonSchedule(k, delta, c=run.c)
-
-    sums = np.zeros(k)
-    counts = np.zeros(k, dtype=np.int64)
-    estimates = np.zeros(k)  # scaled: n_i * mean_i
-    half_widths = np.full(k, np.inf)
-    active = np.ones(k, dtype=bool)
-    exhausted = np.zeros(k, dtype=bool)
-    finalized_round = np.zeros(k, dtype=np.int64)
-    inactive_order: list[int] = []
-
-    def finalize(gid: int, width: float, m: int, is_exhausted: bool) -> None:
-        active[gid] = False
-        half_widths[gid] = width
-        finalized_round[gid] = m
-        exhausted[gid] = is_exhausted
-        inactive_order.append(gid)
-        if is_exhausted:
-            estimates[gid] = sizes[gid] * run.exact_mean(gid)
-
-    for gid in range(k):
-        value = float(run.draw(gid, 1)[0])
-        sums[gid] = value
-        counts[gid] = 1
-        estimates[gid] = sizes[gid] * value
-        run.charge(gid, 1)
-    m = 1
-    truncated = False
-    deadline_exceeded = False
-
-    while active.any():
-        if max_rounds is not None and m >= max_rounds:
-            truncated = True
-            for gid in np.flatnonzero(active):
-                finalize(int(gid), float(half_widths[gid]), m, False)
-            break
-        if deadline is not None and deadline.check():
-            deadline_exceeded = True
-            for gid in np.flatnonzero(active):
-                finalize(int(gid), float(half_widths[gid]), m, False)
-            break
-        if without_replacement:
-            for gid in np.flatnonzero(active & (run.sizes() <= counts)):
-                finalize(int(gid), 0.0, m, True)
-            if not active.any():
-                break
-        m += 1
-        idx = np.flatnonzero(active)
-        n_max = float(run.sizes()[idx].max()) if without_replacement else None
-        base_eps = float(schedule(float(m), n_max))
-        for gid in idx:
-            gid = int(gid)
-            value = float(run.draw(gid, 1)[0])
-            sums[gid] += value
-            counts[gid] += 1
-            estimates[gid] = sizes[gid] * sums[gid] / counts[gid]
-            run.charge(gid, 1)
-        half_widths[idx] = sizes[idx] * base_eps  # Alg. 4 line 7: eps_i = n_i * eps_m
-        if resolution > 0.0 and float(half_widths[idx].max()) < resolution / 4.0:
-            for gid in idx:
-                finalize(int(gid), float(half_widths[gid]), m, False)
-            break
-        sep = separated_general(estimates[idx], half_widths[idx])
-        for pos, gid in enumerate(idx):
-            if sep[pos]:
-                finalize(int(gid), float(half_widths[gid]), m, False)
-
-    return _finalize_result(
-        "ifocus-sum",
-        run,
-        estimates,
-        counts,
-        np.where(exhausted, 0.0, half_widths),
-        finalized_round,
-        exhausted,
-        inactive_order,
-        m,
-        {
-            "delta": delta,
-            "resolution": resolution,
-            "known_sizes": True,
-            "truncated": truncated,
-            "deadline_exceeded": deadline_exceeded,
-        },
+    result = run_ifocus_reference(
+        engine,
+        delta=delta,
+        resolution=resolution,
+        without_replacement=without_replacement,
+        seed=seed,
+        max_rounds=max_rounds,
+        deadline=deadline,
+        scale=engine.population.sizes(),
+        algorithm_name="ifocus-sum",
     )
+    result.params["known_sizes"] = True
+    return result
+
+
+class _ProductRun:
+    """An engine run whose draws are Algorithm 5's products x*z.
+
+    z is a group-membership indicator of a uniformly random tuple, drawn from
+    a stream of its own, so E[x*z] = s_i * mu_i.  Only the x draws are
+    charged: z comes from bitmap metadata, with no disk reads.
+    """
+
+    def __init__(self, run, seed) -> None:
+        self._run = run
+        self.charge = run.charge
+        sizes = run.sizes().astype(np.float64)
+        self._fractions = (sizes / sizes.sum()).tolist()
+        seed_seq = np.random.SeedSequence(
+            entropy=seed if isinstance(seed, int) else None, spawn_key=(0xC0DE,)
+        )
+        self._z_rng = np.random.default_rng(seed_seq)
+
+    def __getattr__(self, name):
+        return getattr(self._run, name)
+
+    def draw(self, gid: int, count: int) -> np.ndarray:
+        x = self._run.draw(gid, count)
+        if count == 1:  # the loop's one-draw case: a scalar z, no array
+            return x if self._z_rng.random() < self._fractions[gid] else x * 0.0
+        return x * (self._z_rng.random(count) < self._fractions[gid])
+
+
+class _ProductEngine:
+    """Engine adapter whose runs draw x*z instead of x."""
+
+    def __init__(self, engine: SamplingEngine) -> None:
+        self._engine = engine
+
+    def open_run(self, seed, without_replacement: bool) -> _ProductRun:
+        return _ProductRun(self._engine.open_run(seed, without_replacement), seed)
 
 
 def run_ifocus_sum_unknown(
@@ -194,94 +118,16 @@ def run_ifocus_sum_unknown(
     size-estimate draws z are free (bitmap metadata, no disk reads), so only
     the value samples are charged, matching the paper's accounting.
     """
-    check_probability(delta, "delta")
-    check_nonnegative(resolution, "resolution")
-    run = engine.open_run(seed, without_replacement=False)  # x*z needs i.i.d. draws
-    k = run.k
-    sizes = run.sizes().astype(np.float64)
-    total = float(sizes.sum())
-    fractions = sizes / total
-    schedule = EpsilonSchedule(k, delta, c=run.c)
-    scale = 1.0 if normalized else total
-
-    seed_seq = np.random.SeedSequence(
-        entropy=seed if isinstance(seed, int) else None, spawn_key=(0xC0DE,)
+    result = run_ifocus_reference(
+        _ProductEngine(engine),
+        delta=delta,
+        resolution=resolution,
+        without_replacement=False,  # x*z needs i.i.d. draws
+        seed=seed,
+        max_rounds=max_rounds,
+        deadline=deadline,
+        scale=1.0 if normalized else float(engine.population.sizes().sum()),
+        algorithm_name="ifocus-sum-unknown",
     )
-    z_rng = np.random.default_rng(seed_seq)
-
-    sums = np.zeros(k)  # running sums of x*z
-    counts = np.zeros(k, dtype=np.int64)
-    estimates = np.zeros(k)
-    half_widths = np.full(k, np.inf)
-    active = np.ones(k, dtype=bool)
-    finalized_round = np.zeros(k, dtype=np.int64)
-    inactive_order: list[int] = []
-
-    def draw_xz(gid: int) -> float:
-        x = float(run.draw(gid, 1)[0])
-        z = 1.0 if z_rng.random() < fractions[gid] else 0.0
-        run.charge(gid, 1)
-        return x * z
-
-    def finalize(gid: int, width: float, m: int) -> None:
-        active[gid] = False
-        half_widths[gid] = width
-        finalized_round[gid] = m
-        inactive_order.append(gid)
-
-    for gid in range(k):
-        sums[gid] = draw_xz(gid)
-        counts[gid] = 1
-        estimates[gid] = scale * sums[gid]
-    m = 1
-    truncated = False
-    deadline_exceeded = False
-
-    while active.any():
-        if max_rounds is not None and m >= max_rounds:
-            truncated = True
-            for gid in np.flatnonzero(active):
-                finalize(int(gid), float(half_widths[gid]), m)
-            break
-        if deadline is not None and deadline.check():
-            deadline_exceeded = True
-            for gid in np.flatnonzero(active):
-                finalize(int(gid), float(half_widths[gid]), m)
-            break
-        m += 1
-        idx = np.flatnonzero(active)
-        eps = float(schedule(float(m), None)) * scale
-        for gid in idx:
-            gid = int(gid)
-            sums[gid] += draw_xz(gid)
-            counts[gid] += 1
-            estimates[gid] = scale * sums[gid] / counts[gid]
-        half_widths[idx] = eps
-        if resolution > 0.0 and eps < resolution / 4.0:
-            for gid in idx:
-                finalize(int(gid), eps, m)
-            break
-        sep = separated_general(estimates[idx], half_widths[idx])
-        for pos, gid in enumerate(idx):
-            if sep[pos]:
-                finalize(int(gid), eps, m)
-
-    return _finalize_result(
-        "ifocus-sum-unknown",
-        run,
-        estimates,
-        counts,
-        half_widths,
-        finalized_round,
-        np.zeros(k, dtype=bool),
-        inactive_order,
-        m,
-        {
-            "delta": delta,
-            "resolution": resolution,
-            "known_sizes": False,
-            "normalized": normalized,
-            "truncated": truncated,
-            "deadline_exceeded": deadline_exceeded,
-        },
-    )
+    result.params.update(known_sizes=False, normalized=normalized)
+    return result

@@ -47,12 +47,13 @@ class TestCatalogBasics:
         catalog = Catalog().register("t", Table.from_dict("t", data))
         assert catalog.schema("t").names == ["g", "y", "year"]
 
-    def test_subscript_access(self, data):
-        """Legacy dict-style access (`session.catalog['t']`) keeps working."""
+    def test_source_lookup(self, data):
         catalog = Catalog().register("t", data)
-        assert catalog["t"] is catalog.source("t")
+        assert catalog.source("t").schema().names == ["g", "y", "year"]
         with pytest.raises(KeyError, match="unknown table"):
-            catalog["nope"]
+            catalog.source("nope")
+        with pytest.raises(TypeError):
+            catalog["t"]  # no mapping-style access: one lookup name, source()
 
     def test_table_materialization_cached(self, data):
         catalog = Catalog().register("t", CountingSource(data, name="t", chunk_rows=512))

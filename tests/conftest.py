@@ -8,6 +8,7 @@ import pytest
 from repro.data.distributions import TruncatedNormal, TwoPoint
 from repro.data.population import MaterializedGroup, Population, VirtualGroup
 from repro.engines.memory import InMemoryEngine
+from repro.needletail.table import Table
 
 
 def make_materialized_population(
@@ -55,6 +56,27 @@ def make_twopoint_population(
         for i, (p, n) in enumerate(zip(ps, sizes))
     ]
     return Population(groups=groups, c=c)
+
+
+def exhaustion_table():
+    """Two groups where the small one exhausts long before the big one.
+
+    A: 3 rows (v = 10, y = 0.05), sum 30, mean 0.05.  B: 1000 rows, 40 ones
+    and 960 zeros in v and y, sum 40, mean 0.04.  z is uniform noise.  A is
+    fully read after 3 rounds and freezes at its exact value; B's early
+    estimates sit far on the wrong side of it, so only the exhausted-group
+    obstacle rule keeps B sampling until its interval clears A's value.
+    """
+    ones = np.concatenate([np.ones(40), np.zeros(960)])
+    return Table.from_dict(
+        "t",
+        {
+            "g": np.array(["A"] * 3 + ["B"] * 1000),
+            "v": np.concatenate([np.full(3, 10.0), ones]),
+            "y": np.concatenate([np.full(3, 0.05), ones]),
+            "z": np.random.default_rng(0).uniform(0.0, 1.0, 1003),
+        },
+    )
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.intervals import (
+    covers_obstacle,
     pairwise_overlap_matrix,
     separated_equal_width,
     separated_equal_width_batch,
@@ -129,3 +130,29 @@ class TestPairwiseOverlapMatrix:
         m = pairwise_overlap_matrix(centers, widths)
         sep = separated_general(centers, widths)
         assert np.array_equal(sep, ~m.any(axis=1))
+
+
+class TestCoversObstacle:
+    def test_no_obstacles_blocks_nothing(self):
+        mask = covers_obstacle(np.array([1.0, 2.0]), np.array([5.0, 5.0]), np.empty(0))
+        assert mask.tolist() == [False, False]
+
+    def test_touching_endpoint_counts_as_covering(self):
+        mask = covers_obstacle(np.array([1.0, 1.0]), np.array([1.0, 0.5]), np.array([2.0]))
+        assert mask.tolist() == [True, False]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.floats(0, 100), min_size=1, max_size=12),
+        st.lists(st.floats(0, 100), min_size=0, max_size=6),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_matches_per_group_loop(self, centers, obstacles, seed):
+        """Same answer as the per-group rule it replaced in the loops."""
+        centers = np.asarray(centers)
+        obstacles = np.asarray(obstacles)
+        widths = np.random.default_rng(seed).uniform(0, 30, centers.size)
+        expected = [
+            bool(np.any(np.abs(c - obstacles) <= w)) for c, w in zip(centers, widths)
+        ]
+        assert covers_obstacle(centers, widths, obstacles).tolist() == expected

@@ -94,3 +94,27 @@ class TestReactivation:
         a = run_ifocus_reference(engine, delta=0.1, seed=9, reactivation=False)
         b = run_ifocus_reference(engine, delta=0.1, seed=9, reactivation=True)
         assert b.total_samples >= a.total_samples
+
+
+class TestScale:
+    def test_unit_scale_is_bit_identical_to_none(self, close_engine):
+        plain = run_ifocus_reference(close_engine, delta=0.05, seed=4)
+        ones = run_ifocus_reference(
+            close_engine, delta=0.05, seed=4, scale=np.ones(close_engine.k)
+        )
+        np.testing.assert_array_equal(plain.estimates, ones.estimates)
+        np.testing.assert_array_equal(plain.samples_per_group, ones.samples_per_group)
+        assert plain.inactive_order == ones.inactive_order
+        assert [g.half_width for g in plain.groups] == [g.half_width for g in ones.groups]
+
+    def test_scale_multiplies_estimates_widths_and_exact_means(self):
+        pop = make_materialized_population([20.0, 80.0], sizes=[5, 4_000], seed=3)
+        engine = InMemoryEngine(pop)
+        res = run_ifocus_reference(engine, delta=0.05, seed=5, scale=np.array([2.0, 3.0]))
+        small, big = res.groups
+        assert small.exhausted
+        assert small.estimate == 2.0 * pop.groups[0].true_mean
+        # Same seed, same draws: the unscaled loop's mean after as many draws.
+        plain = run_ifocus_reference(engine, delta=0.05, seed=5, max_rounds=big.samples)
+        assert plain.groups[1].samples == big.samples
+        assert big.estimate == pytest.approx(3.0 * plain.groups[1].estimate)

@@ -12,7 +12,8 @@ from repro.extensions.noindex import _run_noindex
 from repro.session import avg, connect
 from repro.needletail.table import Table
 from repro.viz.properties import check_ordering
-from tests.conftest import make_materialized_population
+from perfbench.stats import misorder_limit
+from tests.conftest import exhaustion_table, make_materialized_population
 
 
 def two_dim_table(n: int = 40_000, seed: int = 0) -> Table:
@@ -86,6 +87,23 @@ class TestMultiAvg:
         for gid, carrier in enumerate(res.labels):
             true_d = t.column("delay")[t.column("carrier") == carrier].mean()
             assert y.estimates[gid] == pytest.approx(true_d, abs=5.0)
+
+
+    @pytest.mark.slow
+    def test_exhausted_group_blocks_finalization(self):
+        """A 3-row group (mean 0.05) exhausts at once; the 1000-row group
+        (mean 0.04) may not finalize while its AVG(y) interval covers 0.05.
+        Single-AVG on the same table never misorders; two-AVG must stay
+        within the same binomial limit."""
+        session = connect(delta=0.05).register("t", exhaustion_table())
+        query = session.sql("SELECT g, AVG(y), AVG(z) FROM t GROUP BY g")
+        trials = 100
+        misorders = 0
+        for seed in range(trials):
+            y = query.run(seed=seed)["AVG(y)"].raw
+            assert y.groups[0].exhausted
+            misorders += bool(y.estimates[0] <= y.estimates[1])
+        assert misorders <= misorder_limit(trials, 0.05)
 
 
 class TestNoIndex:

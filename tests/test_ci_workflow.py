@@ -26,6 +26,7 @@ ALLOWED_RUN_PREFIXES = (
     "python scripts/serve_smoke.py",  # query-service boot/stream/cancel smoke
     "python scripts/storage_smoke.py",  # durable-store restart + warm-open gate
     "python scripts/streaming_smoke.py",  # continuous-query SSE + cancel smoke
+    "python scripts/examples_smoke.py",  # every examples/*.py runs to exit 0
 )
 
 
@@ -125,6 +126,15 @@ def test_bench_smoke_job_runs_smoke_and_guard(workflow):
     assert "check_bench.py" in commands
     # The smoke job runs tier-1 with the heavy benches explicitly off.
     assert job["env"]["REPRO_RUN_BENCH"] == "0"
+
+
+def test_bench_smoke_job_runs_every_example(workflow):
+    """The examples go through the public front doors (SQL SUM included);
+    the bench-smoke leg runs each one and fails on a non-zero exit."""
+    job = workflow["jobs"]["bench-smoke"]
+    commands = [step["run"].strip() for step in job["steps"] if "run" in step]
+    assert "python scripts/examples_smoke.py" in commands
+    assert (WORKFLOW.parents[2] / "scripts" / "examples_smoke.py").is_file()
 
 
 def test_procpool_job_runs_lifecycle_tests_and_smoke_bench(workflow):
